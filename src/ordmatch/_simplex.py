@@ -2,18 +2,26 @@
 
 The tableau T stores determinant-scaled values (true value = T/det with
 det > 0), so every pivot is integer arithmetic with an exact division --
-no Fraction objects in the hot loop.  Bland's rule provides anti-cycling:
-by default the entering column is chosen by steepest reduced cost, but a
-run of degenerate pivots switches to Bland's smallest-index rule until the
-objective strictly improves, which guarantees termination on the highly
-degenerate metric polytopes this package feeds in.  `pivot_rule="bland"`
-forces the pure rule.
+no Fraction objects in the hot loop.  Row r is kept at the determinant
+rdet[r] of the pivot that last touched it (true value = T[r]/rdet[r]): the
+Bareiss step only rescales a row with a zero in the pivot column, so that
+rescaling is deferred until the row is next touched.
+
+Bland's rule provides anti-cycling: by default the entering column is chosen
+by steepest reduced cost, but a run of degenerate pivots switches to Bland's
+smallest-index rule until the objective strictly improves, which guarantees
+termination on the highly degenerate metric polytopes this package feeds in.
+`pivot_rule="bland"` forces the pure rule.
+
+Rows whose entries are all `int` enter the tableau as they are; any other row
+is scaled once by its least common denominator.  The optimal dual is read off
+the final reduced-cost row, in integers over `det * c_den`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 LESS, EQUAL, GREATER = "<=", "==", ">="
@@ -23,21 +31,27 @@ _DEGENERATE_STREAK = 16
 
 @dataclass
 class SimplexResult:
+    """`dual[i] / dual_den` is the optimal dual of row i for the maximization
+    form (the objective negated when minimizing): >= 0 on `<=` rows, <= 0 on
+    `>=` rows, and 0 on equality rows that phase 1 found redundant.
+    """
+
     status: str  # "optimal" | "unbounded" | "infeasible"
     value: Optional[Fraction] = None
     x: Optional[list[Fraction]] = None
     ray: Optional[list[Fraction]] = None
+    dual: Optional[list[int]] = None
+    dual_den: Optional[int] = None
+    pivots: int = 0
 
 
-def _scale_to_int(coeffs: Sequence[Fraction | int], rhs=None):
-    vals = [Fraction(c) for c in coeffs]
-    if rhs is not None:
-        vals.append(Fraction(rhs))
-    denom = 1
-    for v in vals:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vals]
-    return ints, denom
+def _scale_to_int(vals: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """`vals` times their least common denominator, and that denominator."""
+    if set(map(type, vals)) <= {int}:
+        return list(vals), 1
+    fracs = [Fraction(v) for v in vals]
+    denom = lcm(*(v.denominator for v in fracs))
+    return [int(v * denom) for v in fracs], denom
 
 
 class _Tableau:
@@ -45,13 +59,20 @@ class _Tableau:
         self.nv = n_vars
         m = len(rows)
         irows = []
+        # row i's dual is dual_sign[i] times the reduced cost of its slack
+        # (or, for an equality row, its artificial) column
+        self.dual_sign = []
         for coeffs, sense, b in zip(rows, senses, rhs):
-            ints, _ = _scale_to_int(coeffs, b)
+            ints, _ = _scale_to_int([*coeffs, b])
             coeffs, b = ints[:-1], ints[-1]
+            sign = -1 if sense == GREATER else 1
             if b < 0:
                 coeffs = [-c for c in coeffs]
                 b = -b
                 sense = {LESS: GREATER, GREATER: LESS, EQUAL: EQUAL}[sense]
+                if sense == EQUAL:
+                    sign = -1
+            self.dual_sign.append(sign)
             irows.append((coeffs, sense, b))
 
         n_slack = sum(1 for _, s, _ in irows if s != EQUAL)
@@ -59,15 +80,21 @@ class _Tableau:
         self.ncols = self.nv + n_slack + n_art
         self.art_start = self.nv + n_slack
         self.T: list[list[int]] = []
+        self.rdet: list[int] = [1] * m
         self.basis: list[int] = []
         self.det = 1
+        self.pivots = 0
+        self.dual_col: list[int] = []
         slack_at = self.nv
         art_at = self.art_start
         for coeffs, sense, b in irows:
-            row = coeffs + [0] * (self.ncols - self.nv) + [b]
+            row = [*coeffs, *[0] * (self.ncols - self.nv), b]
             if sense != EQUAL:
+                self.dual_col.append(slack_at)
                 row[slack_at] = 1 if sense == LESS else -1
                 slack_at += 1
+            else:
+                self.dual_col.append(art_at)
             if sense == LESS:
                 self.basis.append(slack_at - 1)
             else:
@@ -81,32 +108,52 @@ class _Tableau:
     # -- pivoting ---------------------------------------------------------
 
     def pivot(self, p: int, q: int) -> None:
-        T = self.T
-        det = self.det
+        T, rdet, det = self.T, self.rdet, self.det
         prow = T[p]
+        if rdet[p] != det:
+            prow = [a * det // rdet[p] for a in prow]
         piv = prow[q]
+        sign = 1 if piv > 0 else -1
+        new_det = sign * piv
+        # Bareiss: row <- sign*(piv*row - row[q]*prow)/d, exact entry by entry,
+        # for a row kept at determinant d.  Off the pivot row's support that is
+        # new_det*row/d, which leaves the row as it is when new_det == d;
+        # pivot rows here are mostly zeros.
+        support = [(j, b) for j, b in enumerate(prow) if b]
+
+        def eliminate(row: list[int], d: int) -> list[int]:
+            f = sign * row[q]
+            if new_det == d:
+                for j, b in support if f else ():
+                    row[j] -= f * b // d
+                return row
+            out = [new_det * a // d if a else 0 for a in row]
+            for j, b in support if f else ():
+                out[j] = (new_det * row[j] - f * b) // d
+            return out
+
         for r, row in enumerate(T):
-            if r == p:
-                continue
-            f = row[q]
-            if f:
-                T[r] = [(piv * a - f * b) // det for a, b in zip(row, prow)]
-            elif piv != det:
-                T[r] = [piv * a // det for a in row]
-        f = self.zrow[q]
-        if f:
-            self.zrow = [(piv * a - f * b) // det for a, b in zip(self.zrow, prow)]
-        elif piv != det:
-            self.zrow = [piv * a // det for a in self.zrow]
-        self.det = piv
+            if r != p and row[q]:
+                T[r] = eliminate(row, rdet[r])
+                rdet[r] = new_det
+        T[p] = prow if sign > 0 else [-a for a in prow]
+        rdet[p] = new_det
+        self.zrow = eliminate(self.zrow, det)
+        self.det = new_det
         self.basis[p] = q
-        if self.det < 0:
-            self.det = -self.det
-            self.T = [[-a for a in row] for row in self.T]
-            self.zrow = [-a for a in self.zrow]
+        self.pivots += 1
+
+    def keep_rows(self, keep: list[int]) -> None:
+        self.T = [self.T[i] for i in keep]
+        self.rdet = [self.rdet[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
 
     def set_objective(self, c_int: list[int]) -> None:
         """Reduced-cost row for integer objective c (len ncols), det-scaled."""
+        for i, d in enumerate(self.rdet):
+            if d != self.det:
+                self.T[i] = [a * self.det // d for a in self.T[i]]
+                self.rdet[i] = self.det
         z = [0] * (self.ncols + 1)
         for i, row in enumerate(self.T):
             cb = c_int[self.basis[i]]
@@ -176,7 +223,7 @@ class _Tableau:
         x = [Fraction(0)] * self.nv
         for i, b in enumerate(self.basis):
             if b < self.nv:
-                x[b] = Fraction(self.T[i][-1], self.det)
+                x[b] = Fraction(self.T[i][-1], self.rdet[i])
         return x
 
     def ray(self) -> list[Fraction]:
@@ -186,11 +233,16 @@ class _Tableau:
             r[q] = Fraction(1)
         for i, b in enumerate(self.basis):
             if b < self.nv:
-                r[b] = Fraction(-self.T[i][q], self.det)
+                r[b] = Fraction(-self.T[i][q], self.rdet[i])
         return r
 
     def objective_value(self) -> Fraction:
         return Fraction(self.zrow[-1], self.det)
+
+    def dual(self) -> list[int]:
+        """Row duals of the current objective, det-scaled (a row dropped as
+        redundant keeps its artificial's zero reduced cost, so gets 0)."""
+        return [s * self.zrow[q] for s, q in zip(self.dual_sign, self.dual_col)]
 
 
 def solve_lp(
@@ -212,7 +264,7 @@ def solve_lp(
         tab.set_objective(phase1)
         tab.optimize(pivot_rule)
         if tab.zrow[-1] != 0:
-            return SimplexResult(status="infeasible")
+            return SimplexResult(status="infeasible", pivots=tab.pivots)
         for i in range(len(tab.T)):
             if tab.basis[i] >= tab.art_start:
                 q = next(
@@ -225,19 +277,25 @@ def solve_lp(
                 )
                 if q >= 0:
                     tab.pivot(i, q)
-        keep = [i for i in range(len(tab.T)) if tab.basis[i] < tab.art_start]
-        tab.T = [tab.T[i] for i in keep]
-        tab.basis = [tab.basis[i] for i in keep]
+        tab.keep_rows([i for i in range(len(tab.T)) if tab.basis[i] < tab.art_start])
         for j in range(tab.art_start, tab.ncols):
             tab.allowed[j] = False
 
     sign = 1 if maximize else -1
-    c_frac = [sign * Fraction(c) for c in objective]
-    c_int, c_den = _scale_to_int(c_frac)
+    c_int, c_den = _scale_to_int([sign * c for c in objective])
     c_full = c_int + [0] * (tab.ncols - nv)
     tab.set_objective(c_full)
     status = tab.optimize(pivot_rule)
     if status == "unbounded":
-        return SimplexResult(status="unbounded", x=tab.solution(), ray=tab.ray())
+        return SimplexResult(
+            status="unbounded", x=tab.solution(), ray=tab.ray(), pivots=tab.pivots
+        )
     value = sign * tab.objective_value() / c_den
-    return SimplexResult(status="optimal", value=value, x=tab.solution())
+    return SimplexResult(
+        status="optimal",
+        value=value,
+        x=tab.solution(),
+        dual=tab.dual(),
+        dual_den=tab.det * c_den,
+        pivots=tab.pivots,
+    )

@@ -4,9 +4,6 @@ Subcommands: gen, run, distortion, thin, thin-search, counterexample,
 reproduce, export.  All file I/O uses the JSON formats of the core types,
 with rationals serialized as "num/den" strings.  Output files are written
 atomically.  `reproduce` exits nonzero iff a bound check fails.
-
-ORDMATCH_THREADS caps internal parallelism; the implementation is
-single-threaded, which respects any cap.
 """
 from __future__ import annotations
 
@@ -664,9 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    threads = os.environ.get("ORDMATCH_THREADS")
-    if threads is not None and int(threads) < 1:
-        raise InvalidInputError("ORDMATCH_THREADS must be at least 1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

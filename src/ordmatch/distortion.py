@@ -10,16 +10,22 @@ The LPs run over the agent-item distances only; a bipartite distance matrix
 extends to a metric on all 2n points exactly when every entry is at most any
 3-edge detour (d(a,b) <= d(a,b') + d(a',b') + d(a',b)), and the witness
 metric is recovered by shortest-path completion.  These detour rows are
-generated lazily.  The explicit LP over all point pairs with full triangle
-rows is available via `adversary_lp` + `lp_solve` and agrees with the
-projected computation (see tests).
+generated lazily.  All rows are integer lists built once per call (the
+target's weights scaled by one common denominator), so the simplex takes
+them as they are.  Most candidates M* need no LP at all: the optimal dual of
+an earlier LP of the same call is an exact certificate that M*'s value
+cannot beat the incumbent, checked in integers.  `DistortionReport.stats`
+counts candidates, LPs, prunes, detour rows and pivots.  The explicit LP
+over all point pairs with full triangle rows is available via
+`adversary_lp` + `lp_solve` and agrees with the projected computation (see
+tests).
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -230,6 +236,26 @@ def metric_from_lp_point(lp: LinearProgram, x: Sequence[Fraction]) -> Metric:
 # ---------------------------------------------------------------------------
 
 
+class WitnessError(RuntimeError):
+    """The oracle's witness metric does not re-evaluate to its value."""
+
+
+@dataclass
+class OracleStats:
+    """Deterministic work counters of one oracle call.
+
+    Every candidate optimum M* is dual-pruned, LP-pruned, or solved to its
+    exact value.  `lps` and `pivots` include the strict-mode margin stage.
+    """
+
+    candidates: int = 0
+    lps: int = 0
+    lp_pruned: int = 0
+    dual_pruned: int = 0
+    detour_rows: int = 0
+    pivots: int = 0
+
+
 @dataclass(frozen=True)
 class DistortionReport:
     """Outcome of a worst-consistent-metric maximization.
@@ -245,6 +271,7 @@ class DistortionReport:
     witness_metric: Optional[Metric] = None
     witness_opt: Optional[Matching] = None
     strict_margin: Optional[Fraction] = None
+    stats: Optional[OracleStats] = field(default=None, compare=False)
 
 
 def _support_pairs(target: Union[Matching, FractionalMatching]) -> list[tuple[int, int]]:
@@ -345,23 +372,36 @@ class _BipartiteAdversary:
 
     Works in increment space: agent i's distance to its rank-t item is the
     prefix sum g[i][0] + ... + g[i][t] with g >= 0, which absorbs both the
-    ordinal chains and nonnegativity structurally.  Detour rows discovered
-    while refining one candidate optimum remain valid for all others, and a
-    relaxation value at most the incumbent prunes the candidate outright.
+    ordinal chains and nonnegativity structurally.  Every row is a list of
+    ints: the target's weights are scaled once by their common denominator
+    `scale`.  Detour rows discovered while refining one candidate optimum
+    remain valid for all others, and a relaxation value at most the
+    incumbent prunes the candidate outright.
+
+    Each optimal LP also leaves its dual z >= 0 on the detour rows.  As every
+    consistent metric satisfies the detour rows, z bounds any other candidate
+    without an LP: with residual r = den*c - sum_i z_i R_i, the value for a
+    normalization row N is at most incumbent whenever r_k <= 0 where N_k = 0
+    and r_k <= incumbent*scale*den*N_k elsewhere.
     """
 
     def __init__(self, inst: Instance, pair_weights: Sequence[Fraction]):
         self.n = n = inst.n
         self.nv = n * n
         self.ranks = inst.ranks
-        self.objective = self._to_increments(pair_weights)
-        self.detour_rows: list[list[Fraction]] = []
+        self.scale = math.lcm(*(Fraction(w).denominator for w in pair_weights))
+        self.objective = self._to_increments(
+            [int(w * self.scale) for w in pair_weights]
+        )
+        self.detour_rows: list[list[int]] = []
         self.detour_seen: set[tuple[int, int, int, int]] = set()
+        self.residuals: list[tuple[list[int], int]] = []  # (r, den), oldest first
+        self.stats = OracleStats()
 
-    def _to_increments(self, pair_weights: Sequence[Fraction]) -> list[Fraction]:
+    def _to_increments(self, pair_weights: Sequence[int]) -> list[int]:
         """Row vector over g for sum_{i,j} w[i*n+j] * d(a_i, b_j)."""
         n = self.n
-        out = [Fraction(0)] * self.nv
+        out = [0] * self.nv
         for i in range(n):
             for j in range(n):
                 w = pair_weights[i * n + j]
@@ -370,11 +410,12 @@ class _BipartiteAdversary:
                         out[i * n + t] += w
         return out
 
-    def _distances(self, g: Sequence[Fraction]) -> list[list[Fraction]]:
+    def _distances(self, g: Sequence) -> list[list]:
+        """Agent-item distances from increments (of g's number type)."""
         n = self.n
-        d = [[Fraction(0)] * n for _ in range(n)]
+        d = [[0] * n for _ in range(n)]
         for i in range(n):
-            acc = Fraction(0)
+            acc = 0
             row = d[i]
             prefs_row = self.ranks[i]
             prefix = []
@@ -388,9 +429,11 @@ class _BipartiteAdversary:
     def _violated_detours(self, g: Sequence[Fraction]) -> bool:
         """Add detour rows violated at g; works for points and for rays,
         where violation means a strictly positive row value along the ray.
+        The test is scale-free, so it runs on g times its common denominator.
         """
         n = self.n
-        d = self._distances(g)
+        den = math.lcm(*(v.denominator for v in g))
+        d = self._distances([v.numerator * (den // v.denominator) for v in g])
         added = False
         for a in range(n):
             da = d[a]
@@ -407,38 +450,79 @@ class _BipartiteAdversary:
                             (a, b, a2, b2) not in self.detour_seen
                         ):
                             self.detour_seen.add((a, b, a2, b2))
-                            w = [Fraction(0)] * self.nv
+                            w = [0] * self.nv
                             w[a * n + b] += 1
                             w[a * n + b2] -= 1
                             w[a2 * n + b2] -= 1
                             w[a2 * n + b] -= 1
                             self.detour_rows.append(self._to_increments(w))
+                            self.stats.detour_rows += 1
                             added = True
         return added
 
-    def _norm_row(self, m_star: Sequence[int]) -> list[Fraction]:
+    def _norm_row(self, m_star: Sequence[int]) -> list[int]:
         n = self.n
-        norm = [Fraction(0)] * self.nv
+        norm = [0] * self.nv
         for i, j in enumerate(m_star):
             norm[i * n + j] += 1
         return self._to_increments(norm)
 
+    def _solve(self, objective, rows, senses, rhs):
+        res = solve_lp(objective, rows, senses, rhs, maximize=True)
+        self.stats.lps += 1
+        self.stats.pivots += res.pivots
+        return res
+
+    def residual(self, z: Sequence[int], den: int) -> Optional[list[int]]:
+        """den*c - sum_i z_i R_i over the first len(z) detour rows, or None
+        when some z_i < 0 (then z certifies nothing).
+        """
+        if any(zi < 0 for zi in z):
+            return None
+        r = [den * c for c in self.objective]
+        for zi, row in zip(z, self.detour_rows):
+            if zi:
+                r = [rk - zi * ak for rk, ak in zip(r, row)]
+        return r
+
+    def bounded_by(self, r: Sequence[int], den: int, norm: Sequence[int], bound) -> bool:
+        """Whether residual r proves the LP value under `norm` <= bound."""
+        lim = bound.numerator * self.scale * den
+        q = bound.denominator
+        return all(rk * q <= lim * nk for rk, nk in zip(r, norm))
+
     def maximize(self, m_star: Sequence[int], prune_below=None):
         """Exact LP value and point for one candidate optimum, or None when
-        the relaxation already shows the value cannot beat `prune_below`.
+        an earlier dual or the relaxation already shows the value cannot
+        beat `prune_below`.
         """
+        self.stats.candidates += 1
         norm = self._norm_row(m_star)
+        if prune_below is not None and any(
+            self.bounded_by(r, den, norm, prune_below)
+            for r, den in reversed(self.residuals)
+        ):
+            self.stats.dual_pruned += 1
+            return None
         while True:
-            rows = self.detour_rows + [norm]
-            senses = [LESS] * len(self.detour_rows) + [EQUAL]
-            rhs = [Fraction(0)] * len(self.detour_rows) + [Fraction(1)]
-            res = solve_lp(self.objective, rows, senses, rhs, maximize=True)
+            k = len(self.detour_rows)
+            res = self._solve(
+                self.objective,
+                self.detour_rows + [norm],
+                [LESS] * k + [EQUAL],
+                [0] * k + [1],
+            )
             if res.status == "optimal":
-                if prune_below is not None and res.value <= prune_below:
+                r = self.residual(res.dual[:k], res.dual_den)
+                if r is not None:
+                    self.residuals.append((r, res.dual_den))
+                value = res.value / self.scale
+                if prune_below is not None and value <= prune_below:
+                    self.stats.lp_pruned += 1
                     return None
                 if not self._violated_detours(res.x):
                     d = self._distances(res.x)
-                    return res.value, d
+                    return value, d
             elif res.status == "unbounded":
                 if not self._violated_detours(res.ray):
                     raise RuntimeError(
@@ -454,42 +538,46 @@ class _BipartiteAdversary:
         margin is feasible).  Returns (margin, distance matrix).
         """
         n = self.n
-        zero = Fraction(0)
         margin_col = self.nv
         norm = self._norm_row(m_star)
-        objective = [zero] * self.nv + [Fraction(1)]
+        objective = [0] * self.nv + [1]
+        # c.g = value, with c scaled by `scale`, cleared of value's denominator
+        level = [value.denominator * c for c in self.objective] + [0]
+        fixed_rows = [norm + [0], level]
+        fixed_senses = [EQUAL, EQUAL]
+        fixed_rhs = [1, value.numerator * self.scale]
+        for i in range(n):
+            for t in range(1, n):
+                gap = [0] * (self.nv + 1)
+                gap[i * n + t] -= 1
+                gap[margin_col] += 1
+                fixed_rows.append(gap)
+        fixed_rows.append([0] * self.nv + [1])  # margin <= 1
+        fixed_senses += [LESS] * (n * (n - 1) + 1)
+        fixed_rhs += [0] * (n * (n - 1)) + [1]
         while True:
-            rows = []
-            senses = []
-            rhs = []
-            for row in self.detour_rows:
-                rows.append(row + [zero])
-                senses.append(LESS)
-                rhs.append(zero)
-            rows.append(norm + [zero])
-            senses.append(EQUAL)
-            rhs.append(Fraction(1))
-            rows.append(self.objective + [zero])
-            senses.append(EQUAL)
-            rhs.append(value)
-            for i in range(n):
-                for t in range(1, n):
-                    gap = [zero] * (self.nv + 1)
-                    gap[i * n + t] -= 1
-                    gap[margin_col] += 1
-                    rows.append(gap)
-                    senses.append(LESS)
-                    rhs.append(zero)
-            cap = [zero] * (self.nv + 1)
-            cap[margin_col] += 1
-            rows.append(cap)
-            senses.append(LESS)
-            rhs.append(Fraction(1))
-            res = solve_lp(objective, rows, senses, rhs, maximize=True)
+            k = len(self.detour_rows)
+            res = self._solve(
+                objective,
+                [row + [0] for row in self.detour_rows] + fixed_rows,
+                [LESS] * k + fixed_senses,
+                [0] * k + fixed_rhs,
+            )
             if res.status != "optimal":
                 raise RuntimeError("margin stage must be feasible and bounded")
             if not self._violated_detours(res.x[: self.nv]):
                 return res.value, self._distances(res.x[: self.nv])
+
+
+def _pair_weights(target: Union[Matching, FractionalMatching]) -> list:
+    """The target's weight on each agent-item pair, row-major."""
+    if isinstance(target, Matching):
+        n = len(target.assign)
+        weights = [0] * (n * n)
+        for i, j in target.assign.items():
+            weights[i * n + j] = 1
+        return weights
+    return [v for row in target.p for v in row]
 
 
 def _adversarial(
@@ -517,19 +605,10 @@ def _adversarial(
             opt_cost=Fraction(0),
             witness_metric=metric,
             witness_opt=m0,
+            stats=OracleStats(),
         )
 
-    zero = Fraction(0)
-    objective = [zero] * (n * n)
-    if isinstance(target, Matching):
-        for i, j in target.assign.items():
-            objective[i * n + j] += 1
-    else:
-        for i in range(n):
-            for j in range(n):
-                objective[i * n + j] += target.p[i][j]
-
-    solver = _BipartiteAdversary(inst, objective)
+    solver = _BipartiteAdversary(inst, _pair_weights(target))
     best_value = None
     best_d = None
     best_mstar = None
@@ -551,7 +630,10 @@ def _adversarial(
         else fractional_cost(target, metric)
     )
     _, opt_cost = min_cost_matching(metric)
-    assert mech_cost == best_value and opt_cost == 1
+    if mech_cost != best_value or opt_cost != 1:
+        raise WitnessError(
+            f"witness re-evaluates to {mech_cost}/{opt_cost}, not {best_value}/1"
+        )
     return DistortionReport(
         value=best_value,
         mechanism_cost=mech_cost,
@@ -559,6 +641,7 @@ def _adversarial(
         witness_metric=metric,
         witness_opt=Matching.from_permutation(best_mstar),
         strict_margin=margin,
+        stats=solver.stats,
     )
 
 

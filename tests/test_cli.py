@@ -60,6 +60,12 @@ class TestGenRunDistortion:
         out = tmp_path / "x.json"
         assert run(["gen", "--family", "euclid", "--n", "3", "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("threads", ["abc", "0", ""])
+    def test_threads_environment_is_not_read(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("ORDMATCH_THREADS", threads)
+        out = tmp_path / "x.json"
+        assert run(["gen", "--family", "line", "--n", "3", "--out", str(out)]) == 0
+
     def test_rsd_requires_seed(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         run(["gen", "--family", "line", "--n", "3", "--out", str(inst_path)])

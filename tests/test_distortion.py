@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_min_cost, random_profile
+from conftest import brute_force_min_cost, random_doubly_stochastic, random_profile
 from ordmatch.core import (
     FractionalMatching,
     Instance,
@@ -27,7 +29,9 @@ from ordmatch.distortion import (
     min_cost_matching,
     sample_consistent_metric,
 )
-from ordmatch.distortion import LinearProgram
+from ordmatch import distortion
+from ordmatch._simplex import EQUAL, LESS, solve_lp
+from ordmatch.distortion import LinearProgram, OracleStats, _BipartiteAdversary, _pair_weights
 from ordmatch.generators import (
     euclidean_random,
     line_sd_instance,
@@ -314,6 +318,95 @@ class TestAdversarialDistortion:
                 solver.maximize(ms)[0] for ms in itertools.permutations(range(n))
             )
             assert rep.value == unpruned
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(["matching", "rsd", "doubly-stochastic"]),
+    )
+    @settings(max_examples=45, deadline=None)
+    def test_dual_pruning_never_changes_a_value(self, n, seed, kind):
+        rng = random.Random(seed)
+        inst = random_profile(n, rng)
+        if kind == "matching":
+            target = Matching.from_permutation(rng.sample(range(n), n))
+            rep = adversarial_distortion(inst, target)
+        else:
+            if kind == "rsd":
+                target = exact_rsd_marginals(inst)
+            else:
+                target = random_doubly_stochastic(n, rng)
+            rep = adversarial_distortion_fractional(inst, target)
+        if rep.value == INFINITE:
+            return
+        solver = _BipartiteAdversary(inst, _pair_weights(target))
+        unpruned = max(
+            solver.maximize(ms, prune_below=None)[0]
+            for ms in itertools.permutations(range(n))
+        )
+        assert rep.value == unpruned
+        stats = rep.stats
+        assert stats.candidates == math.factorial(n)
+        assert stats.lp_pruned + stats.dual_pruned < stats.candidates
+
+    def test_mutated_dual_does_not_prune(self):
+        """A dual whose certificate is broken (a negated z_i, or a raised
+        residual entry) must never prune."""
+        inst, _ = line_sd_instance(4)
+        solver = _BipartiteAdversary(inst, _pair_weights(serial_dictatorship(inst, range(4))))
+        best = max(solver.maximize(ms)[0] for ms in itertools.permutations(range(4)))
+        k = len(solver.detour_rows)
+        for ms in itertools.permutations(range(4)):
+            norm = solver._norm_row(ms)
+            res = solve_lp(
+                solver.objective, solver.detour_rows + [norm], [LESS] * k + [EQUAL], [0] * k + [1]
+            )
+            z, den = res.dual[:k], res.dual_den
+            if any(z):
+                break
+        r = solver.residual(z, den)
+        assert solver.bounded_by(r, den, norm, best)
+        assert not solver.bounded_by(r, den, norm, res.value / solver.scale - Fraction(1, 10**6))
+
+        i = next(i for i, zi in enumerate(z) if zi)
+        negated = list(z)
+        negated[i] = -negated[i]
+        assert solver.residual(negated, den) is None
+
+        kz = next(k for k, nk in enumerate(norm) if nk == 0)
+        raised = list(r)
+        raised[kz] = max(raised[kz], 0) + 1
+        assert not solver.bounded_by(raised, den, norm, best)
+        kn = next(k for k, nk in enumerate(norm) if nk)
+        raised = list(r)
+        raised[kn] = best.numerator * solver.scale * den + 1
+        assert not solver.bounded_by(raised, den, norm, best)
+
+    @pytest.mark.parametrize(
+        "n, stats",
+        [
+            (4, OracleStats(24, lps=12, lp_pruned=4, dual_pruned=16, detour_rows=29, pivots=78)),
+            (5, OracleStats(120, lps=22, lp_pruned=11, dual_pruned=104, detour_rows=79, pivots=271)),
+        ],
+    )
+    def test_counters_pinned_on_the_sd_line(self, n, stats):
+        inst, _ = line_sd_instance(n)
+        rep = adversarial_distortion(inst, serial_dictatorship(inst, range(n)))
+        assert rep.value == 2**n - 1
+        assert rep.stats == stats
+
+    def test_witness_contract_is_an_explicit_check(self, monkeypatch):
+        """The re-evaluation guard is a named error, not an `assert` that
+        vanishes under `python -O`."""
+        real = distortion._complete_bipartite
+
+        def perturbed(n, d):
+            return real(n, [[2 * v for v in row] for row in d])
+
+        monkeypatch.setattr(distortion, "_complete_bipartite", perturbed)
+        inst, _ = line_sd_instance(3)
+        with pytest.raises(distortion.WitnessError):
+            adversarial_distortion(inst, serial_dictatorship(inst, range(3)))
 
     def test_oracle_dominates_consistent_samples(self):
         rng = random.Random(4)

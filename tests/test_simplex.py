@@ -41,6 +41,55 @@ class TestEngine:
                 )
             assert sum(c * v for c, v in zip(obj, res.x)) == res.value
 
+    def test_dual_certifies_the_value(self):
+        """Weak duality made exact: the dual read off the final reduced-cost
+        row is sign-feasible, dominates c on every column, and prices the
+        right-hand side at the optimal value."""
+        rng = random.Random(10)
+        solved = 0
+        for _ in range(300):
+            obj, rows, senses, rhs = random_lp(rng)
+            res = solve_lp(obj, rows, senses, rhs)
+            if res.status != "optimal":
+                continue
+            solved += 1
+            y = [Fraction(v, res.dual_den) for v in res.dual]
+            for yi, s in zip(y, senses):
+                assert yi >= 0 if s == LESS else yi <= 0 if s == GREATER else True
+            for j, cj in enumerate(obj):
+                assert cj - sum(yi * row[j] for yi, row in zip(y, rows)) <= 0
+            assert sum(yi * b for yi, b in zip(y, rhs)) == res.value
+        assert solved >= 50
+
+    def test_integer_rows_match_fraction_rows(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            obj, rows, senses, rhs = random_lp(rng)
+            a = solve_lp(obj, rows, senses, rhs)
+            b = solve_lp(
+                [int(c) for c in obj],
+                [[int(c) for c in row] for row in rows],
+                senses,
+                [int(v) for v in rhs],
+            )
+            assert (a.status, a.value, a.x, a.pivots) == (b.status, b.value, b.x, b.pivots)
+
+    @pytest.mark.parametrize("rule", ["bland", "dantzig-bland"])
+    def test_beale_cycling_example(self, rule):
+        """Beale (1955): the largest-coefficient rule cycles on this LP
+        unless ties in the ratio test are broken with care."""
+        obj = [Fraction(3, 4), Fraction(-20), Fraction(1, 2), Fraction(-6)]
+        rows = [
+            [Fraction(1, 4), Fraction(-8), Fraction(-1), Fraction(9)],
+            [Fraction(1, 2), Fraction(-12), Fraction(-1, 2), Fraction(3)],
+            [Fraction(0), Fraction(0), Fraction(1), Fraction(0)],
+        ]
+        res = solve_lp(obj, rows, [LESS] * 3, [0, 0, 1], pivot_rule=rule)
+        assert res.status == "optimal" and res.value == Fraction(5, 4)
+        assert res.x == [1, 0, 1, 0]
+        y = [Fraction(v, res.dual_den) for v in res.dual]
+        assert all(yi >= 0 for yi in y) and y[2] == res.value
+
     def test_klee_minty_cube(self):
         n = 6
         rows, senses, rhs = [], [], []
