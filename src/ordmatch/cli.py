@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -33,23 +34,9 @@ from .distortion import (
     DistortionReport,
     adversarial_distortion,
     adversarial_distortion_fractional,
-    expected_distortion_known_metric,
     min_cost_matching,
     sample_consistent_metric,
 )
-
-EXPERIMENTS = (
-    "sd-line",
-    "tree-det",
-    "tree-frac",
-    "repmatch-bound",
-    "trsd-bound",
-    "boston",
-    "thin-cycle",
-    "hall-round",
-    "da-serializable",
-)
-
 
 @dataclass
 class ReproduceConfig:
@@ -78,11 +65,10 @@ class ReproduceConfig:
     def load(cls, path: Optional[str]) -> "ReproduceConfig":
         cfg = cls()
         if path:
-            with open(path) as fh:
-                for key, value in json.load(fh).items():
-                    if not hasattr(cfg, key):
-                        raise InvalidInputError(f"unknown config key {key!r}")
-                    setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
+            for key, value in _load(path, json.loads).items():
+                if not hasattr(cfg, key):
+                    raise InvalidInputError(f"unknown config key {key!r}")
+                setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
         return cfg
 
 
@@ -167,8 +153,6 @@ def _run_tree_det(cfg: ReproduceConfig, k: int) -> ReproductionRecord:
     t = generators.tree_instance(k)
     rng = random.Random(f"tree-det:{cfg.seed}")
     if k <= 2:
-        import itertools
-
         matchings = [
             Matching.from_permutation(p)
             for p in itertools.permutations(range(t.n))
@@ -260,18 +244,8 @@ def _run_trsd_bound(cfg: ReproduceConfig) -> ReproductionRecord:
         metric = sample_consistent_metric(inst, rng)
         _, opt = min_cost_matching(metric)
         for m in range(n + 1):
-            def mech(i, order, m=m):
-                taken = [False] * i.n
-                assign = {}
-                for a in order[:m]:
-                    for j in i.prefs[a]:
-                        if not taken[j]:
-                            taken[j] = True
-                            assign[a] = j
-                            break
-                return Matching(assign)
-
-            value = expected_distortion_known_metric(mech, inst, metric).value
+            p = mechanisms.exact_rsd_marginals(inst, m)
+            value = fractional_cost(p, metric) / opt
             bound = Fraction(m, n + 1 - m)
             passed = passed and value <= bound
             if m:
@@ -354,11 +328,7 @@ def _run_da_serializable(cfg: ReproduceConfig) -> ReproductionRecord:
     checked = 0
     for n in range(1, cfg.da_max_n + 1):
         for _ in range(cfg.da_profiles):
-            item_prefs = []
-            for _ in range(n):
-                p = list(range(n))
-                rng.shuffle(p)
-                item_prefs.append(tuple(p))
+            item_prefs = _random_profile(n, rng).prefs
             pi = mechanisms.sd_on_items(item_prefs)
             sigma = tuple(range(n))
             mech = lambda inst: mechanisms.deferred_acceptance(inst, item_prefs)
@@ -376,28 +346,25 @@ def _run_da_serializable(cfg: ReproduceConfig) -> ReproductionRecord:
     )
 
 
+_PIPELINES = {
+    "sd-line": lambda cfg, o: _run_sd_line(cfg, o.get("n") or cfg.sd_line_n),
+    "tree-det": lambda cfg, o: _run_tree_det(cfg, o.get("k") or cfg.tree_det_k),
+    "tree-frac": lambda cfg, o: _run_tree_frac(cfg, o.get("k") or cfg.tree_frac_k),
+    "repmatch-bound": lambda cfg, o: _run_repmatch_bound(cfg),
+    "trsd-bound": lambda cfg, o: _run_trsd_bound(cfg),
+    "boston": lambda cfg, o: _run_boston(cfg),
+    "thin-cycle": lambda cfg, o: _run_thin_cycle(cfg),
+    "hall-round": lambda cfg, o: _run_hall_round(cfg),
+    "da-serializable": lambda cfg, o: _run_da_serializable(cfg),
+}
+EXPERIMENTS = tuple(_PIPELINES)
+
+
 def run_experiment(name: str, cfg: ReproduceConfig, **overrides) -> ReproductionRecord:
-    start = time.perf_counter()
-    if name == "sd-line":
-        rec = _run_sd_line(cfg, overrides.get("n") or cfg.sd_line_n)
-    elif name == "tree-det":
-        rec = _run_tree_det(cfg, overrides.get("k") or cfg.tree_det_k)
-    elif name == "tree-frac":
-        rec = _run_tree_frac(cfg, overrides.get("k") or cfg.tree_frac_k)
-    elif name == "repmatch-bound":
-        rec = _run_repmatch_bound(cfg)
-    elif name == "trsd-bound":
-        rec = _run_trsd_bound(cfg)
-    elif name == "boston":
-        rec = _run_boston(cfg)
-    elif name == "thin-cycle":
-        rec = _run_thin_cycle(cfg)
-    elif name == "hall-round":
-        rec = _run_hall_round(cfg)
-    elif name == "da-serializable":
-        rec = _run_da_serializable(cfg)
-    else:
+    if name not in _PIPELINES:
         raise InvalidInputError(f"unknown experiment {name!r}")
+    start = time.perf_counter()
+    rec = _PIPELINES[name](cfg, overrides)
     rec.wall_clock_s = round(time.perf_counter() - start, 6)
     return rec
 
@@ -448,9 +415,14 @@ def _perm_arg(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+def _load(path: str, parse):
+    """Parse a file's text; a missing file or malformed content is bad input."""
+    try:
+        with open(path) as fh:
+            return parse(fh.read())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        raise InvalidInputError(f"cannot read {path}: {detail}") from exc
 
 
 def _cmd_gen(args) -> int:
@@ -459,10 +431,10 @@ def _cmd_gen(args) -> int:
         inst, metric = t.instance, t.metric
     elif args.family == "line":
         inst, metric = generators.line_sd_instance(
-            args.n, args.pi, args.sigma, Fraction(args.eps)
+            args.n, args.pi, args.sigma, args.eps
         )
     elif args.family == "boston":
-        inst, metric, _ = generators.boston_instance(args.k, Fraction(args.eps))
+        inst, metric, _ = generators.boston_instance(args.k, args.eps)
     else:
         if args.seed is None:
             raise InvalidInputError("--seed is mandatory for the euclid family")
@@ -474,7 +446,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    inst = Instance.from_json(_read(args.inst))
+    inst = _load(args.inst, Instance.from_json)
     n = inst.n
     if args.mech == "sd":
         order = args.order or tuple(range(n))
@@ -492,7 +464,7 @@ def _cmd_run(args) -> int:
         matching = mechanisms.rep_match(inst)
     elif args.mech == "da":
         if args.item_prefs:
-            item_prefs = json.loads(_read(args.item_prefs))["prefs"]
+            item_prefs = _load(args.item_prefs, lambda t: json.loads(t)["prefs"])
         else:
             item_prefs = [tuple(range(n))] * n
         matching = mechanisms.deferred_acceptance(inst, item_prefs)
@@ -504,20 +476,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
-    inst = Instance.from_json(_read(args.inst))
+    inst = _load(args.inst, Instance.from_json)
     if args.fractional:
-        p = FractionalMatching.from_json(_read(args.fractional))
+        p = _load(args.fractional, FractionalMatching.from_json)
         rep = adversarial_distortion_fractional(inst, p, cap=args.cap, strict=args.strict)
     else:
-        matching = Matching.from_json(_read(args.match))
+        matching = _load(args.match, Matching.from_json)
         rep = adversarial_distortion(inst, matching, cap=args.cap, strict=args.strict)
     _write_json(args.out, distortion_report_json(rep))
     return 0
 
 
 def _cmd_thin(args) -> int:
-    p = FractionalMatching.from_json(_read(args.p))
-    matching = Matching.from_json(_read(args.match))
+    p = _load(args.p, FractionalMatching.from_json)
+    matching = _load(args.match, Matching.from_json)
     rep = thin.thinness(p, matching)
     _write_json(
         args.out,
@@ -527,8 +499,8 @@ def _cmd_thin(args) -> int:
 
 
 def _cmd_thin_search(args) -> int:
-    p = FractionalMatching.from_json(_read(args.p))
-    result = thin.thin_search(p, Fraction(args.beta))
+    p = _load(args.p, FractionalMatching.from_json)
+    result = thin.thin_search(p, args.beta)
     if result is None:
         _write_json(args.out, json.dumps({"found": False}))
     else:
@@ -540,7 +512,7 @@ def _cmd_thin_search(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    cx = thin.cycle_counterexample(args.k, Fraction(args.q), args.copies)
+    cx = thin.cycle_counterexample(args.k, args.q, args.copies)
     obj = {
         "n": cx.p.n,
         "p": json.loads(cx.p.to_json())["p"],
@@ -574,8 +546,9 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    raw = json.loads(_read(args.records))
-    records = [ReproductionRecord(**obj) for obj in raw]
+    records = _load(
+        args.records, lambda t: [ReproductionRecord(**o) for o in json.loads(t)]
+    )
     if args.format == "json":
         _write_json(args.out, json.dumps([r.to_dict() for r in records]))
     else:
@@ -598,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--pi", type=_perm_arg)
     p.add_argument("--sigma", type=_perm_arg)
-    p.add_argument("--eps", default="0")
+    p.add_argument("--eps", type=Fraction, default=Fraction(0))
     p.add_argument("--out")
     p.add_argument("--metric-out")
     p.set_defaults(func=_cmd_gen)
@@ -615,8 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distortion", help="adversarial distortion of a matching")
     p.add_argument("--inst", required=True)
-    p.add_argument("--match")
-    p.add_argument("--fractional")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--match")
+    target.add_argument("--fractional")
     p.add_argument("--cap", type=int, default=6)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out")
@@ -630,13 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thin-search", help="search for a beta-thin matching")
     p.add_argument("--p", required=True)
-    p.add_argument("--beta", required=True)
+    p.add_argument("--beta", type=Fraction, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_thin_search)
 
     p = sub.add_parser("counterexample", help="alternating-cycle counterexample")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", required=True)
+    p.add_argument("--q", type=Fraction, required=True)
     p.add_argument("--copies", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_counterexample)

@@ -32,9 +32,12 @@ def as_fraction(x) -> Fraction:
     raise InvalidInputError(f"not an exact rational: {x!r}")
 
 
-def item_point(n: int, j: int) -> int:
-    """Index of item j in the shared 2n-point space."""
-    return n + j
+def check_perm(perm: Sequence[int], n: int, name: str) -> tuple[int, ...]:
+    """`perm` as a tuple, or InvalidInputError unless it permutes 0..n-1."""
+    perm = tuple(perm)
+    if tuple(sorted(perm)) != tuple(range(n)):
+        raise InvalidInputError(f"{name} is not a permutation of 0..{n - 1}")
+    return perm
 
 
 @dataclass(frozen=True)
@@ -102,9 +105,6 @@ class Metric:
                 if rows[x][y] != rows[y][x]:
                     raise InvalidInputError(f"dist[{x}][{y}] != dist[{y}][{x}]")
 
-    def d(self, x: int, y: int) -> Fraction:
-        return self.dist[x][y]
-
     def agent_item(self, i: int, j: int) -> Fraction:
         return self.dist[i][self.n + j]
 
@@ -165,9 +165,6 @@ class Matching:
         return len(self.assign) == n and all(
             0 <= i < n and 0 <= j < n for i, j in self.assign.items()
         )
-
-    def item_of(self, agent: int):
-        return self.assign.get(agent)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.assign.items()))

@@ -147,7 +147,7 @@ class LpSolution:
     ray: Optional[tuple[Fraction, ...]] = None
 
 
-def lp_solve(lp: LinearProgram, pivot_rule: str = "bland") -> LpSolution:
+def lp_solve(lp: LinearProgram) -> LpSolution:
     """Exact two-phase simplex with Bland's anti-cycling rule."""
     res = solve_lp(
         lp.objective,
@@ -155,7 +155,7 @@ def lp_solve(lp: LinearProgram, pivot_rule: str = "bland") -> LpSolution:
         [r[1] for r in lp.rows],
         [r[2] for r in lp.rows],
         maximize=True,
-        pivot_rule=pivot_rule,
+        pivot_rule="bland",
     )
     return LpSolution(
         status=res.status,
@@ -690,7 +690,6 @@ def expected_distortion_known_metric(
     mode: str = "exact",
     trials: int = 2000,
     seed: int = 0,
-    deterministic: bool = False,
     cap: int = 8,
 ) -> ExpectedDistortion:
     """E[cost]/cost(OPT) for an order-driven mechanism on a known metric.
@@ -704,9 +703,6 @@ def expected_distortion_known_metric(
     if opt == 0:
         raise InvalidInputError("optimal cost is 0; the distortion ratio is undefined")
     n = inst.n
-    if deterministic:
-        value = cost(mechanism(inst, tuple(range(n))), metric) / opt
-        return ExpectedDistortion(value=value)
     if mode == "exact":
         if n > cap:
             raise InvalidInputError(f"exact expectation needs n <= {cap}")

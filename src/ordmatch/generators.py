@@ -18,16 +18,10 @@ from .core import (
     Metric,
     WeightedGraph,
     as_fraction,
+    check_perm,
     metric_from_graph,
     prefs_from_metric,
 )
-
-
-def _check_perm(perm: Sequence[int], n: int, name: str) -> tuple[int, ...]:
-    perm = tuple(perm)
-    if tuple(sorted(perm)) != tuple(range(n)):
-        raise InvalidInputError(f"{name} is not a permutation of 0..{n - 1}")
-    return perm
 
 
 @dataclass(frozen=True)
@@ -294,8 +288,8 @@ def line_sd_instance(
     """
     if n < 1:
         raise InvalidInputError("need n >= 1")
-    pi = _check_perm(pi if pi is not None else range(n), n, "pi")
-    sigma = _check_perm(sigma if sigma is not None else range(n), n, "sigma")
+    pi = check_perm(pi if pi is not None else range(n), n, "pi")
+    sigma = check_perm(sigma if sigma is not None else range(n), n, "sigma")
     eps = as_fraction(eps)
     agent_pos = [Fraction(0)] * n
     item_pos = [Fraction(0)] * n

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import FractionalMatching, Instance, InvalidInputError, Matching
+from .core import FractionalMatching, Instance, InvalidInputError, Matching, check_perm
 
 PriorityOrder = Sequence[int]
 
@@ -30,55 +30,64 @@ class RepMatchState:
 
     def check(self) -> None:
         seen = sorted(a for s in self.partition for a in s)
-        assert seen == list(range(len(seen))), "partition does not cover the agents"
+        if seen != list(range(len(seen))):
+            raise RuntimeError("partition does not cover the agents")
         for s, level in zip(self.partition, self.levels):
-            assert level >= 0
-            assert len(s) >= 2 ** level, "set size fell below 2^level"
+            if level < 0 or len(s) < 2 ** level:
+                raise RuntimeError("set size fell below 2^level")
 
 
-def _check_perm(perm: Sequence[int], n: int, name: str) -> tuple[int, ...]:
-    perm = tuple(perm)
-    if tuple(sorted(perm)) != tuple(range(n)):
-        raise InvalidInputError(f"{name} is not a permutation of 0..{n - 1}")
-    return perm
+def _picks(prefs: Sequence[Sequence[int]], agents: Sequence[int]) -> list[int]:
+    """The items that `agents` take in turn, each its favorite free one."""
+    taken = [False] * len(prefs)
+    picks = []
+    for a in agents:
+        for j in prefs[a]:
+            if not taken[j]:
+                taken[j] = True
+                picks.append(j)
+                break
+    return picks
+
+
+def _shuffled(n: int, key: str) -> list[int]:
+    order = list(range(n))
+    random.Random(key).shuffle(order)
+    return order
 
 
 def serial_dictatorship(inst: Instance, order: PriorityOrder) -> Matching:
     """Agents pick their favorite remaining item in the given order."""
-    order = _check_perm(order, inst.n, "order")
-    taken = [False] * inst.n
-    assign = {}
-    for a in order:
-        for j in inst.prefs[a]:
-            if not taken[j]:
-                taken[j] = True
-                assign[a] = j
-                break
-    return Matching(assign)
+    order = check_perm(order, inst.n, "order")
+    return Matching(zip(order, _picks(inst.prefs, order)))
 
 
 def rsd(inst: Instance, seed: int) -> Matching:
     """Serial dictatorship in a uniformly random order drawn from the seed."""
-    order = list(range(inst.n))
-    random.Random(f"rsd:{seed}").shuffle(order)
-    return serial_dictatorship(inst, order)
+    return serial_dictatorship(inst, _shuffled(inst.n, f"rsd:{seed}"))
 
 
 def truncated_rsd(inst: Instance, m: int, seed: int) -> Matching:
     """Random serial dictatorship stopped once m agents are matched."""
     if not 0 <= m <= inst.n:
         raise InvalidInputError(f"need 0 <= m <= n, got m={m}")
-    order = list(range(inst.n))
-    random.Random(f"trsd:{seed}").shuffle(order)
-    taken = [False] * inst.n
-    assign = {}
-    for a in order[:m]:
-        for j in inst.prefs[a]:
-            if not taken[j]:
-                taken[j] = True
-                assign[a] = j
-                break
-    return Matching(assign)
+    agents = _shuffled(inst.n, f"trsd:{seed}")[:m]
+    return Matching(zip(agents, _picks(inst.prefs, agents)))
+
+
+def _pick_marginals(inst: Instance, m: int, orders, total: int) -> FractionalMatching:
+    """How often each agent takes each item when the first m agents of every
+    order pick, divided by `total`.
+    """
+    n = inst.n
+    counts = [[0] * n for _ in range(n)]
+    for order in orders:
+        agents = order[:m]
+        for a, j in zip(agents, _picks(inst.prefs, agents)):
+            counts[a][j] += 1
+    return FractionalMatching(
+        n, tuple(tuple(Fraction(c, total) for c in row) for row in counts)
+    )
 
 
 def exact_rsd_marginals(
@@ -97,19 +106,8 @@ def exact_rsd_marginals(
         raise InvalidInputError(
             f"n={n} exceeds the exhaustive cap {cap}; use monte_carlo_marginals"
         )
-    counts = [[0] * n for _ in range(n)]
-    prefs = inst.prefs
-    for order in itertools.permutations(range(n)):
-        taken = 0
-        for a in order[:m]:
-            for j in prefs[a]:
-                if not taken >> j & 1:
-                    taken |= 1 << j
-                    counts[a][j] += 1
-                    break
-    total = math.factorial(n)
-    return FractionalMatching(
-        n, tuple(tuple(Fraction(c, total) for c in row) for row in counts)
+    return _pick_marginals(
+        inst, m, itertools.permutations(range(n)), math.factorial(n)
     )
 
 
@@ -124,22 +122,8 @@ def monte_carlo_marginals(
         raise InvalidInputError("need trials >= 1")
     if not 0 <= m <= inst.n:
         raise InvalidInputError(f"need 0 <= m <= n, got m={m}")
-    n = inst.n
-    counts = [[0] * n for _ in range(n)]
-    prefs = inst.prefs
-    for t in range(trials):
-        order = list(range(n))
-        random.Random(f"mc:{seed}:{t}").shuffle(order)
-        taken = 0
-        for a in order[:m]:
-            for j in prefs[a]:
-                if not taken >> j & 1:
-                    taken |= 1 << j
-                    counts[a][j] += 1
-                    break
-    return FractionalMatching(
-        n, tuple(tuple(Fraction(c, trials) for c in row) for row in counts)
-    )
+    orders = (_shuffled(inst.n, f"mc:{seed}:{t}") for t in range(trials))
+    return _pick_marginals(inst, m, orders, trials)
 
 
 def rep_match_states(inst: Instance):
@@ -201,7 +185,8 @@ def rep_match(inst: Instance) -> Matching:
     used = set()
     for agents, rep in zip(state.partition, state.reps):
         top = inst.prefs[rep][: len(agents)]
-        assert not used & set(top), "top windows overlap after the merge loop"
+        if used & set(top):
+            raise RuntimeError("top windows overlap after the merge loop")
         used |= set(top)
         for agent, item in zip(agents, top):
             assign[agent] = item
@@ -222,7 +207,7 @@ def deferred_acceptance(
         raise InvalidInputError("need one preference list per item")
     rank = []
     for jp in item_prefs:
-        jp = _check_perm(jp, n, "item preference")
+        jp = check_perm(jp, n, "item preference")
         r = [0] * n
         for pos, a in enumerate(jp):
             r[a] = pos
@@ -255,7 +240,7 @@ def boston(inst: Instance, priority: PriorityOrder) -> Matching:
     irrevocably takes the proposer earliest in the priority order.
     """
     n = inst.n
-    priority = _check_perm(priority, n, "priority")
+    priority = check_perm(priority, n, "priority")
     prank = [0] * n
     for pos, a in enumerate(priority):
         prank[a] = pos
@@ -280,16 +265,7 @@ def sd_on_items(item_prefs: Sequence[PriorityOrder]) -> tuple[int, ...]:
     """Serial dictatorship run by the items in index order over the agents;
     returns pi with pi[r] = the agent that item r picks.
     """
-    n = len(item_prefs)
-    taken = [False] * n
-    pi = []
-    for j in range(n):
-        for a in item_prefs[j]:
-            if not taken[a]:
-                taken[a] = True
-                pi.append(a)
-                break
-    return tuple(pi)
+    return tuple(_picks(item_prefs, range(len(item_prefs))))
 
 
 def _serial_orders(n: int, sigma: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
@@ -322,7 +298,6 @@ def serializability_check(
     pi: PriorityOrder,
     sigma: PriorityOrder,
     n: int,
-    exhaustive_cap: int = 4,
     samples: int = 10000,
     seed: int = 0,
 ) -> bool:
@@ -330,11 +305,11 @@ def serializability_check(
     instance where agent pi[r] prefers item sigma[r] to every sigma[s], s > r,
     the output must match pi[r] to sigma[r].
 
-    Exhausts the hypothesis-satisfying instances up to the cap and samples
+    Exhausts the hypothesis-satisfying instances up to n = 4 and samples
     random completions beyond it; True means no counterexample was found.
     """
-    pi = _check_perm(pi, n, "pi")
-    sigma = _check_perm(sigma, n, "sigma")
+    pi = check_perm(pi, n, "pi")
+    sigma = check_perm(sigma, n, "sigma")
     expected = {pi[r]: sigma[r] for r in range(n)}
 
     def run(per_agent_orders: Sequence[tuple[int, ...]]) -> bool:
@@ -343,7 +318,7 @@ def serializability_check(
             prefs[pi[r]] = per_agent_orders[r]
         return mechanism(Instance(n, tuple(prefs))).assign == expected
 
-    if n <= exhaustive_cap:
+    if n <= 4:
         choices = [_serial_orders(n, sigma, r) for r in range(n)]
         return all(run(combo) for combo in itertools.product(*choices))
     rng = random.Random(f"serial:{seed}")

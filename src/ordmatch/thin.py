@@ -31,10 +31,10 @@ INFINITE = math.inf
 
 
 def _max_bipartite(adj: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Maximum matching; adj[i] lists items in the deterministic try order.
-    Returns item->agent (or -1), scanning agents in ascending order.
+    """Maximum matching of the len(adj) agents into n items; adj[a] lists
+    items in the deterministic try order.  Returns item->agent (or -1),
+    scanning agents in ascending order.
     """
-    item_of_agent = [-1] * n
     agent_of_item = [-1] * n
 
     def augment(a: int, seen: list[bool]) -> bool:
@@ -43,17 +43,12 @@ def _max_bipartite(adj: Sequence[Sequence[int]], n: int) -> list[int]:
                 seen[j] = True
                 if agent_of_item[j] < 0 or augment(agent_of_item[j], seen):
                     agent_of_item[j] = a
-                    item_of_agent[a] = j
                     return True
         return False
 
-    for a in range(n):
+    for a in range(len(adj)):
         augment(a, [False] * n)
     return agent_of_item
-
-
-def _has_perfect_matching(adj: Sequence[Sequence[int]], n: int) -> bool:
-    return all(x >= 0 for x in _max_bipartite(adj, n))
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +105,12 @@ def _components(n_points: int, edges) -> list[list[int]]:
     return [sorted(g) for g in sorted(groups.values())]
 
 
-def _best_cut_over_masks(members: list[int], edges) -> tuple:
-    """Scan the 2^(|members|-1) cuts of one vertex set; edges are local to it.
-    Returns (beta, witness_set) with beta None when every cut was 0/0.
+def _cut_sums(members: Sequence[int], edges):
+    """Yield (mask, p-weight, matching count) across each of the
+    2^(|members|-1) cuts of one vertex set; edges are local to it.
     """
     pos = {v: t for t, v in enumerate(members)}
     local = [(pos[x], pos[y], w, m) for x, y, w, m in edges]
-    best_num, best_den, best_mask = None, None, 0
-    infinite = None
     for mask in range(1, 1 << (len(members) - 1)):
         weight = Fraction(0)
         count = 0
@@ -125,20 +118,28 @@ def _best_cut_over_masks(members: list[int], edges) -> tuple:
             if (mask >> x & 1) != (mask >> y & 1):
                 weight += w
                 count += m
-        if count and not weight:
-            infinite = mask
-            break
+        yield mask, weight, count
+
+
+def _best_cut_over_masks(members: list[int], edges) -> tuple:
+    """The worst cut of one vertex set as (beta, witness_set), with beta None
+    when every cut was 0/0.
+    """
+
+    def cut(mask: int) -> frozenset[int]:
+        return frozenset(v for t, v in enumerate(members) if mask >> t & 1)
+
+    best = None
+    for mask, weight, count in _cut_sums(members, edges):
         if not weight:
+            if count:
+                return INFINITE, cut(mask)
             continue
-        if best_num is None or count * best_den > best_num * weight:
-            best_num, best_den, best_mask = count, weight, mask
-    if infinite is not None:
-        cut = frozenset(members[t] for t in range(len(members)) if infinite >> t & 1)
-        return INFINITE, cut
-    if best_num is None:
+        if best is None or count * best[1] > best[0] * weight:
+            best = (count, weight, mask)
+    if best is None:
         return None, frozenset()
-    cut = frozenset(members[t] for t in range(len(members)) if best_mask >> t & 1)
-    return Fraction(best_num) / best_den, cut
+    return Fraction(best[0]) / best[1], cut(best[2])
 
 
 def thinness(
@@ -280,7 +281,8 @@ def bvn_decompose(p: FractionalMatching) -> BvnDecomposition:
         terms.append((weight, Matching.from_permutation(perm)))
         for i in range(n):
             residual[i][perm[i]] -= weight
-        assert len(terms) <= n * n, "decomposition exceeded n^2 terms"
+        if len(terms) > n * n:
+            raise RuntimeError("decomposition exceeded n^2 terms")
     return BvnDecomposition(n=n, terms=tuple(terms))
 
 
@@ -294,39 +296,17 @@ def _lex_min_perfect(residual: Sequence[Sequence[Fraction]], n: int) -> list[int
                 continue
             used[j] = True
             fixed[a] = j
-            rest = list(range(a + 1, n))
             adj = [
                 [t for t in range(n) if not used[t] and residual[b][t] > 0]
-                for b in rest
+                for b in range(a + 1, n)
             ]
-            match = _max_bipartite_partial(adj, [t for t in range(n) if not used[t]])
-            if match == len(rest):
+            if sum(b >= 0 for b in _max_bipartite(adj, n)) == len(adj):
                 break
             used[j] = False
             fixed[a] = -1
         if fixed[a] < 0:
             raise RuntimeError("support lost its perfect matching")
     return fixed
-
-
-def _max_bipartite_partial(adj: Sequence[Sequence[int]], items: list[int]) -> int:
-    """Size of a maximum matching from len(adj) agents into the given items."""
-    agent_of_item: dict[int, int] = {}
-
-    def augment(a: int, seen: set[int]) -> bool:
-        for j in adj[a]:
-            if j not in seen:
-                seen.add(j)
-                if j not in agent_of_item or augment(agent_of_item[j], seen):
-                    agent_of_item[j] = a
-                    return True
-        return False
-
-    count = 0
-    for a in range(len(adj)):
-        if augment(a, set()):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +392,7 @@ def thin_search(
         raise InvalidInputError(f"n={n} exceeds the thin-search cap {cap}")
     for perm in itertools.permutations(range(n)):
         matching = Matching.from_permutation(perm)
-        edges = _cut_edges(p, matching)
-        ok = True
-        for mask in range(1, 1 << (2 * n - 1)):
-            weight = Fraction(0)
-            count = 0
-            for x, y, w, m in edges:
-                if (mask >> x & 1) != (mask >> y & 1):
-                    weight += w
-                    count += m
-            if count > beta * weight:
-                ok = False
-                break
-        if ok:
+        sums = _cut_sums(range(2 * n), _cut_edges(p, matching))
+        if all(count <= beta * weight for _, weight, count in sums):
             return matching
     return None

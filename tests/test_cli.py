@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,22 @@ from ordmatch.cli import (
     records_to_csv,
     run_experiment,
 )
-from ordmatch.core import Instance, Matching, Metric
+from ordmatch.core import FractionalMatching, Instance, Matching, Metric
 
 
 def run(argv):
     return main(argv)
+
+
+def run_bad(argv, capsys):
+    """Exit code and stderr of a run that should be refused."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
 
 
 class TestGenRunDistortion:
@@ -105,6 +117,55 @@ class TestGenRunDistortion:
         assert out1.read_text() == out2.read_text()
 
 
+class TestBadInput:
+    def test_instance_without_prefs(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps({"n": 2}))
+        match_path = tmp_path / "m.json"
+        match_path.write_text(Matching.from_permutation((0, 1)).to_json())
+        argv = ["distortion", "--inst", str(inst_path), "--match", str(match_path)]
+        code, err = run_bad(argv, capsys)
+        assert code == 2 and "error:" in err and "prefs" in err
+
+    def test_instance_not_json(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text("not json")
+        code, err = run_bad(["run", "--mech", "sd", "--inst", str(inst_path)], capsys)
+        assert code == 2 and "error:" in err
+
+    def test_missing_instance_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        code, err = run_bad(["run", "--mech", "sd", "--inst", missing], capsys)
+        assert code == 2 and "error:" in err
+
+    def test_distortion_needs_a_target(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(Instance(2, ((0, 1), (0, 1))).to_json())
+        code, err = run_bad(["distortion", "--inst", str(inst_path)], capsys)
+        assert code == 2 and "--match" in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        argv = ["reproduce", "--experiment", "boston", "--config", str(tmp_path / "no")]
+        code, err = run_bad(argv, capsys)
+        assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("family", ["line", "tree"])
+    def test_bad_eps(self, family, capsys):
+        code, err = run_bad(["gen", "--family", family, "--eps", "x"], capsys)
+        assert code == 2 and "--eps" in err
+
+    def test_bad_q(self, capsys):
+        code, err = run_bad(["counterexample", "--k", "1", "--q", "x"], capsys)
+        assert code == 2 and "--q" in err
+
+    def test_bad_beta(self, tmp_path, capsys):
+        p_path = tmp_path / "p.json"
+        p_path.write_text(FractionalMatching.uniform(2).to_json())
+        argv = ["thin-search", "--p", str(p_path), "--beta", "x"]
+        code, err = run_bad(argv, capsys)
+        assert code == 2 and "--beta" in err
+
+
 class TestThinCommands:
     def test_thinness_and_search(self, tmp_path):
         cx_path = tmp_path / "cx.json"
@@ -158,6 +219,17 @@ class TestReproduce:
         assert rec.passed
         assert rec.measured["bound"] == "7"
         assert Fraction(rec.measured["min_cost_seen"]) >= 7
+
+    def test_all_seed0_matches_golden(self, tmp_path):
+        out = tmp_path / "recs.json"
+        argv = ["reproduce", "--experiment", "all", "--seed", "0", "--out", str(out)]
+        assert run(argv) == 0
+        got = [
+            {k: rec[k] for k in ("experiment", "measured", "passed")}
+            for rec in json.loads(out.read_text())
+        ]
+        golden = Path(__file__).parent / "data" / "reproduce_seed0.json"
+        assert json.dumps(got) == json.dumps(json.loads(golden.read_text()))
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

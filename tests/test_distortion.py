@@ -458,14 +458,6 @@ class TestAdversarialFractional:
 
 
 class TestExpectedDistortion:
-    def test_deterministic_single_run(self):
-        inst, metric = line_sd_instance(3)
-        handle = lambda i, order: serial_dictatorship(i, (0, 1, 2))
-        value = expected_distortion_known_metric(
-            handle, inst, metric, deterministic=True
-        ).value
-        assert value == 7
-
     def test_truncated_rsd_bound_small(self):
         rng = random.Random(5)
         for _ in range(4):
@@ -488,6 +480,8 @@ class TestExpectedDistortion:
 
                 value = expected_distortion_known_metric(handle, inst, metric).value
                 assert value <= Fraction(m, n + 1 - m)
+                marginals = exact_rsd_marginals(inst, m)
+                assert value == fractional_cost(marginals, metric) / opt
 
     def test_rsd_distortion_at_most_n(self):
         inst, metric = euclidean_random(5, 2, 1)

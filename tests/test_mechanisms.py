@@ -8,6 +8,7 @@ from conftest import random_profile
 from ordmatch.core import FractionalMatching, Instance, InvalidInputError, Matching
 from ordmatch.generators import line_sd_instance
 from ordmatch.mechanisms import (
+    RepMatchState,
     boston,
     deferred_acceptance,
     exact_rsd_marginals,
@@ -176,6 +177,11 @@ class TestRepMatch:
                 assert cur.levels[idx] == expected
             for s in states:
                 s.check()  # size >= 2^level throughout
+
+    def test_check_raises_on_level_above_size(self):
+        # an explicit check, so it still fires under python -O
+        with pytest.raises(RuntimeError):
+            RepMatchState(((0,),), (0,), (3,)).check()
 
 
 class TestDeferredAcceptance:
