@@ -17,7 +17,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -63,12 +63,23 @@ class ReproduceConfig:
 
     @classmethod
     def load(cls, path: Optional[str]) -> "ReproduceConfig":
+        """The defaults, overridden by a JSON object that gives an integer
+        (not a bool) per int field and a list of integers per tuple field."""
         cfg = cls()
-        if path:
-            for key, value in _load(path, json.loads).items():
-                if not hasattr(cfg, key):
-                    raise InvalidInputError(f"unknown config key {key!r}")
-                setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
+        obj = _load(path, json.loads) if path else {}
+        if not isinstance(obj, dict):
+            raise InvalidInputError(f"config {path} must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        for key, value in obj.items():
+            if key not in names:
+                raise InvalidInputError(f"unknown config key {key!r}")
+            if isinstance(getattr(cfg, key), tuple):
+                if not isinstance(value, list) or any(type(v) is not int for v in value):
+                    raise InvalidInputError(f"config key {key!r} must be a list of integers")
+                value = tuple(value)
+            elif type(value) is not int:
+                raise InvalidInputError(f"config key {key!r} must be an integer")
+            setattr(cfg, key, value)
         return cfg
 
 
@@ -425,7 +436,20 @@ def _load(path: str, parse):
         raise InvalidInputError(f"cannot read {path}: {detail}") from exc
 
 
+# `gen` builds at most 512 agents (n = 256 takes 1-3 s and tens of MB, growing
+# about as n^2); tree instances have 2^k agents, Boston ones 1 + k(k-1)/2.
+_GEN_LIMITS = {"tree": ("k", 9), "boston": ("k", 32), "line": ("n", 512), "euclid": ("n", 512)}
+_GEN_MAX_DIM = 16
+
+
 def _cmd_gen(args) -> int:
+    name, limit = _GEN_LIMITS[args.family]
+    if getattr(args, name) > limit:
+        raise InvalidInputError(
+            f"gen --family {args.family} allows --{name} up to {limit} (at most 512 agents)"
+        )
+    if args.family == "euclid" and args.dim > _GEN_MAX_DIM:
+        raise InvalidInputError(f"gen --family euclid allows --dim up to {_GEN_MAX_DIM}")
     if args.family == "tree":
         t = generators.tree_instance(args.k)
         inst, metric = t.instance, t.metric

@@ -15,10 +15,10 @@ target's weights scaled by one common denominator), so the simplex takes
 them as they are.  Most candidates M* need no LP at all: the optimal dual of
 an earlier LP of the same call is an exact certificate that M*'s value
 cannot beat the incumbent, checked in integers.  `DistortionReport.stats`
-counts candidates, LPs, prunes, detour rows and pivots.  The explicit LP
-over all point pairs with full triangle rows is available via
-`adversary_lp` + `lp_solve` and agrees with the projected computation (see
-tests).
+counts candidates, LPs, prunes, detour rows and pivots.  A matching enters
+as its 0/1 indicator matrix, and every report, finite or infinite, is
+re-checked on its witness.  The reference LP over all point pairs with full
+triangle rows, which the tests compare against, is `tests/lp_reference.py`.
 """
 from __future__ import annotations
 
@@ -49,13 +49,12 @@ INFINITE = math.inf
 # ---------------------------------------------------------------------------
 
 
-def _hungarian(costs: Sequence[Sequence]) -> tuple[list[int], object]:
-    """O(n^3) assignment on exact entries (ints or Fractions)."""
+def _hungarian(costs: Sequence[Sequence[int]]) -> list[int]:
+    """O(n^3) minimum-cost assignment on integer costs."""
     n = len(costs)
     INF = math.inf
-    zero = costs[0][0] - costs[0][0]
-    u = [zero] * (n + 1)
-    v = [zero] * (n + 1)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     p = [0] * (n + 1)
     way = [0] * (n + 1)
     for i in range(1, n + 1):
@@ -95,8 +94,7 @@ def _hungarian(costs: Sequence[Sequence]) -> tuple[list[int], object]:
     for j in range(1, n + 1):
         if p[j]:
             assign[p[j] - 1] = j - 1
-    total = sum(costs[i][assign[i]] for i in range(n))
-    return assign, total
+    return assign
 
 
 def min_cost_matching(metric: Metric) -> tuple[Matching, Fraction]:
@@ -116,119 +114,9 @@ def min_cost_matching(metric: Metric) -> tuple[Matching, Fraction]:
         [int(rows[i][j] * denom) * big + j * (n + 1) ** (n - 1 - i) for j in range(n)]
         for i in range(n)
     ]
-    assign, _ = _hungarian(perturbed)
+    assign = _hungarian(perturbed)
     total = sum(rows[i][assign[i]] for i in range(n))
     return Matching.from_permutation(assign), total
-
-
-# ---------------------------------------------------------------------------
-# explicit linear program over all point pairs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Max c.x over x >= 0 with rows (coeffs, sense, rhs); for adversary LPs
-    the variables are the pairwise distances among the 2n points.
-    """
-
-    n_vars: int
-    objective: tuple[Fraction, ...]
-    rows: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
-    n: int = 0  # 2n-point metric LPs record n for reconstruction
-    pairs: tuple[tuple[int, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str  # "optimal" | "unbounded" | "infeasible"
-    value: Optional[Fraction] = None
-    x: Optional[tuple[Fraction, ...]] = None
-    ray: Optional[tuple[Fraction, ...]] = None
-
-
-def lp_solve(lp: LinearProgram) -> LpSolution:
-    """Exact two-phase simplex with Bland's anti-cycling rule."""
-    res = solve_lp(
-        lp.objective,
-        [r[0] for r in lp.rows],
-        [r[1] for r in lp.rows],
-        [r[2] for r in lp.rows],
-        maximize=True,
-        pivot_rule="bland",
-    )
-    return LpSolution(
-        status=res.status,
-        value=res.value,
-        x=tuple(res.x) if res.x is not None else None,
-        ray=tuple(res.ray) if res.ray is not None else None,
-    )
-
-
-def adversary_lp(
-    inst: Instance,
-    target: Union[Matching, FractionalMatching],
-    m_star: Matching,
-) -> LinearProgram:
-    """The full adversary LP: maximize the target's cost over all metrics
-    consistent with the instance, normalized by cost(m_star) = 1.  Variables
-    are all unordered point pairs; rows are the triangle inequalities for all
-    triples, the per-agent ordinal chains, and the normalization.
-    """
-    n = inst.n
-    m = 2 * n
-    pairs = [(x, y) for x in range(m) for y in range(x + 1, m)]
-    idx = {pq: t for t, pq in enumerate(pairs)}
-    nv = len(pairs)
-
-    def var(x: int, y: int) -> int:
-        return idx[(x, y) if x < y else (y, x)]
-
-    zero = Fraction(0)
-    rows = []
-    for x, y, z in itertools.combinations(range(m), 3):
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            row = [zero] * nv
-            row[var(a, b)] += 1
-            row[var(a, c)] -= 1
-            row[var(c, b)] -= 1
-            rows.append((tuple(row), LESS, zero))
-    for i in range(n):
-        p = inst.prefs[i]
-        for k in range(n - 1):
-            row = [zero] * nv
-            row[var(i, n + p[k])] += 1
-            row[var(i, n + p[k + 1])] -= 1
-            rows.append((tuple(row), LESS, zero))
-    norm = [zero] * nv
-    for i, j in m_star.assign.items():
-        norm[var(i, n + j)] += 1
-    rows.append((tuple(norm), EQUAL, Fraction(1)))
-
-    obj = [zero] * nv
-    if isinstance(target, Matching):
-        for i, j in target.assign.items():
-            obj[var(i, n + j)] += 1
-    else:
-        for i in range(n):
-            for j in range(n):
-                obj[var(i, n + j)] += target.p[i][j]
-    return LinearProgram(
-        n_vars=nv, objective=tuple(obj), rows=tuple(rows), n=n, pairs=tuple(pairs)
-    )
-
-
-def metric_from_lp_point(lp: LinearProgram, x: Sequence[Fraction]) -> Metric:
-    """Rebuild the full metric from an adversary-LP vertex and verify it."""
-    if not lp.pairs:
-        raise InvalidInputError("this LP does not carry point-pair metadata")
-    m = 2 * lp.n
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    for (a, b), v in zip(lp.pairs, x):
-        rows[a][b] = rows[b][a] = Fraction(v)
-    metric = Metric(lp.n, tuple(tuple(r) for r in rows))
-    metric.check_triangle()
-    return metric
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +125,7 @@ def metric_from_lp_point(lp: LinearProgram, x: Sequence[Fraction]) -> Metric:
 
 
 class WitnessError(RuntimeError):
-    """The oracle's witness metric does not re-evaluate to its value."""
+    """The oracle's witness metric does not re-evaluate to its report."""
 
 
 @dataclass
@@ -272,17 +160,6 @@ class DistortionReport:
     witness_opt: Optional[Matching] = None
     strict_margin: Optional[Fraction] = None
     stats: Optional[OracleStats] = field(default=None, compare=False)
-
-
-def _support_pairs(target: Union[Matching, FractionalMatching]) -> list[tuple[int, int]]:
-    if isinstance(target, Matching):
-        return sorted(target.assign.items())
-    return [
-        (i, j)
-        for i in range(target.n)
-        for j in range(target.n)
-        if target.p[i][j] > 0
-    ]
 
 
 def _zero_closure(inst: Instance, m0: Sequence[int]) -> list[int]:
@@ -325,13 +202,13 @@ def _zero_closure(inst: Instance, m0: Sequence[int]) -> list[int]:
 
 
 def _infinite_witness(
-    inst: Instance, target: Union[Matching, FractionalMatching]
+    inst: Instance, p: FractionalMatching
 ) -> Optional[tuple[Metric, Matching]]:
-    """A consistent metric with cost(OPT) = 0 but positive target cost, if
+    """A consistent metric with cost(OPT) = 0 but positive cost for p, if
     one exists: scan all candidate zero-cost optima and their zero closures.
     """
     n = inst.n
-    support = _support_pairs(target)
+    support = [(i, j) for i in range(n) for j in range(n) if p.p[i][j]]
     for m0 in itertools.permutations(range(n)):
         roots = _zero_closure(inst, m0)
         if any(roots[i] != roots[n + j] for i, j in support):
@@ -373,7 +250,7 @@ class _BipartiteAdversary:
     Works in increment space: agent i's distance to its rank-t item is the
     prefix sum g[i][0] + ... + g[i][t] with g >= 0, which absorbs both the
     ordinal chains and nonnegativity structurally.  Every row is a list of
-    ints: the target's weights are scaled once by their common denominator
+    ints: the target matrix p is scaled once by its common denominator
     `scale`.  Detour rows discovered while refining one candidate optimum
     remain valid for all others, and a relaxation value at most the
     incumbent prunes the candidate outright.
@@ -385,14 +262,13 @@ class _BipartiteAdversary:
     and r_k <= incumbent*scale*den*N_k elsewhere.
     """
 
-    def __init__(self, inst: Instance, pair_weights: Sequence[Fraction]):
+    def __init__(self, inst: Instance, p: FractionalMatching):
         self.n = n = inst.n
         self.nv = n * n
         self.ranks = inst.ranks
-        self.scale = math.lcm(*(Fraction(w).denominator for w in pair_weights))
-        self.objective = self._to_increments(
-            [int(w * self.scale) for w in pair_weights]
-        )
+        weights = [w for row in p.p for w in row]
+        self.scale = math.lcm(*(w.denominator for w in weights))
+        self.objective = self._to_increments([int(w * self.scale) for w in weights])
         self.detour_rows: list[list[int]] = []
         self.detour_seen: set[tuple[int, int, int, int]] = set()
         self.residuals: list[tuple[list[int], int]] = []  # (r, den), oldest first
@@ -569,79 +445,53 @@ class _BipartiteAdversary:
                 return res.value, self._distances(res.x[: self.nv])
 
 
-def _pair_weights(target: Union[Matching, FractionalMatching]) -> list:
-    """The target's weight on each agent-item pair, row-major."""
-    if isinstance(target, Matching):
-        n = len(target.assign)
-        weights = [0] * (n * n)
-        for i, j in target.assign.items():
-            weights[i * n + j] = 1
-        return weights
-    return [v for row in target.p for v in row]
-
-
 def _adversarial(
-    inst: Instance,
-    target: Union[Matching, FractionalMatching],
-    cap: int,
-    strict: bool,
+    inst: Instance, p: FractionalMatching, cap: int, strict: bool
 ) -> DistortionReport:
     n = inst.n
     if n > cap:
         raise InvalidInputError(
             f"n={n} exceeds the oracle cap {cap}; evaluate on a known metric instead"
         )
-    witness = _infinite_witness(inst, target)
-    if witness is not None:
-        metric, m0 = witness
-        mech_cost = (
-            cost(target, metric)
-            if isinstance(target, Matching)
-            else fractional_cost(target, metric)
-        )
-        return DistortionReport(
-            value=INFINITE,
-            mechanism_cost=mech_cost,
-            opt_cost=Fraction(0),
-            witness_metric=metric,
-            witness_opt=m0,
-            stats=OracleStats(),
-        )
-
-    solver = _BipartiteAdversary(inst, _pair_weights(target))
-    best_value = None
-    best_d = None
-    best_mstar = None
-    for m_star in itertools.permutations(range(n)):
-        result = solver.maximize(m_star, prune_below=best_value)
-        if result is None:
-            continue
-        value, d = result
-        if best_value is None or value > best_value:
-            best_value, best_d, best_mstar = value, d, m_star
-
     margin = None
-    if strict:
-        margin, best_d = solver.maximize_margin(best_mstar, best_value)
-    metric = _complete_bipartite(n, best_d)
-    mech_cost = (
-        cost(target, metric)
-        if isinstance(target, Matching)
-        else fractional_cost(target, metric)
-    )
+    witness = _infinite_witness(inst, p)
+    if witness is not None:
+        metric, witness_opt = witness
+        value, stats = INFINITE, OracleStats()
+    else:
+        solver = _BipartiteAdversary(inst, p)
+        value = best_d = best_mstar = None
+        for m_star in itertools.permutations(range(n)):
+            result = solver.maximize(m_star, prune_below=value)
+            if result is None:
+                continue
+            candidate, d = result
+            if value is None or candidate > value:
+                value, best_d, best_mstar = candidate, d, m_star
+        if strict:
+            margin, best_d = solver.maximize_margin(best_mstar, value)
+        metric = _complete_bipartite(n, best_d)
+        witness_opt = Matching.from_permutation(best_mstar)
+        stats = solver.stats
+
+    mech_cost = fractional_cost(p, metric)
     _, opt_cost = min_cost_matching(metric)
-    if mech_cost != best_value or opt_cost != 1:
+    if value == INFINITE:
+        holds = opt_cost == 0 and mech_cost > 0
+    else:
+        holds = mech_cost == value and opt_cost == 1
+    if not holds:
         raise WitnessError(
-            f"witness re-evaluates to {mech_cost}/{opt_cost}, not {best_value}/1"
+            f"witness re-evaluates to {mech_cost}/{opt_cost}, not to the value {value}"
         )
     return DistortionReport(
-        value=best_value,
+        value=value,
         mechanism_cost=mech_cost,
         opt_cost=opt_cost,
         witness_metric=metric,
-        witness_opt=Matching.from_permutation(best_mstar),
+        witness_opt=witness_opt,
         strict_margin=margin,
-        stats=solver.stats,
+        stats=stats,
     )
 
 
@@ -657,7 +507,7 @@ def adversarial_distortion(
     """
     if not matching.is_perfect(inst.n):
         raise InvalidInputError("adversarial distortion needs a perfect matching")
-    return _adversarial(inst, matching, cap, strict)
+    return _adversarial(inst, FractionalMatching.indicator(matching, inst.n), cap, strict)
 
 
 def adversarial_distortion_fractional(

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,6 +107,24 @@ class TestGenRunDistortion:
         ) == 0
         assert Matching.from_json(out.read_text()).assign == {1: 0, 0: 1}
 
+    @pytest.mark.parametrize(
+        "mech, extra, assign",
+        [
+            ("trsd", ["--seed", "4", "--m", "2"], {1: 0, 2: 1}),
+            ("repmatch", [], {0: 0, 1: 2, 2: 1}),
+            ("boston", [], {0: 0, 1: 2, 2: 1}),
+            ("boston", ["--order", "2,1,0"], {0: 2, 1: 0, 2: 1}),
+            ("da", [], {0: 0, 1: 1, 2: 2}),  # every item ranks agents 0, 1, 2
+        ],
+    )
+    def test_run_mechanisms(self, tmp_path, mech, extra, assign):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(Instance(3, ((0, 2, 1), (0, 1, 2), (1, 0, 2))).to_json())
+        out = tmp_path / "m.json"
+        argv = ["run", "--mech", mech, "--inst", str(inst_path), "--out", str(out)]
+        assert run(argv + extra) == 0
+        assert Matching.from_json(out.read_text()).assign == assign
+
     def test_rsd_deterministic_given_argv(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         run(["gen", "--family", "euclid", "--n", "5", "--seed", "1", "--out", str(inst_path)])
@@ -115,6 +134,36 @@ class TestGenRunDistortion:
         run(argv + ["--out", str(out1)])
         run(argv + ["--out", str(out2)])
         assert out1.read_text() == out2.read_text()
+
+
+class TestDistortionCommand:
+    @staticmethod
+    def report(tmp_path, prefs, target_flag, target, *extra):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(Instance(len(prefs), prefs).to_json())
+        target_path = tmp_path / "target.json"
+        target_path.write_text(target.to_json())
+        out = tmp_path / "report.json"
+        argv = ["distortion", "--inst", str(inst_path), target_flag, str(target_path)]
+        assert run(argv + list(extra) + ["--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_fractional_uniform_hedges(self, tmp_path):
+        rep = self.report(
+            tmp_path, ((0, 1), (0, 1)), "--fractional", FractionalMatching.uniform(2)
+        )
+        assert (rep["value"], rep["mechanism_cost"], rep["opt_cost"]) == ("2", "2", "1")
+
+    def test_strict_margin(self, tmp_path):
+        target = Matching.from_permutation((0, 1))
+        rep = self.report(tmp_path, ((0, 1), (1, 0)), "--match", target, "--strict")
+        assert (rep["value"], rep["strict_margin"]) == ("1", "1")
+
+    def test_infinite_report(self, tmp_path):
+        target = Matching({0: 1, 1: 0})
+        rep = self.report(tmp_path, ((0, 1), (1, 0)), "--match", target)
+        assert (rep["value"], rep["mechanism_cost"], rep["opt_cost"]) == ("inf", "2", "0")
+        assert "witness_metric" in rep and "witness_opt" in rep
 
 
 class TestBadInput:
@@ -148,6 +197,37 @@ class TestBadInput:
         argv = ["reproduce", "--experiment", "boston", "--config", str(tmp_path / "no")]
         code, err = run_bad(argv, capsys)
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "config, experiment",
+        [
+            ([1, 2], "trsd-bound"),
+            ({"trsd_max_n": "5"}, "trsd-bound"),
+            ({"boston_ks": 3}, "boston"),
+            ({"seed": True}, "trsd-bound"),
+        ],
+    )
+    def test_bad_config(self, tmp_path, capsys, config, experiment):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["reproduce", "--experiment", experiment, "--config", str(path)]
+        code, err = run_bad(argv, capsys)
+        assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "tree", "--k", "40"],
+            ["--family", "line", "--n", "100000"],
+            ["--family", "euclid", "--n", "100000", "--seed", "1"],
+            ["--family", "euclid", "--dim", "17", "--seed", "1"],
+        ],
+    )
+    def test_oversized_gen_refused(self, argv, capsys):
+        start = time.perf_counter()
+        code, err = run_bad(["gen"] + argv, capsys)
+        assert code == 2 and "error:" in err
+        assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("family", ["line", "tree"])
     def test_bad_eps(self, family, capsys):
@@ -256,6 +336,17 @@ class TestExport:
         assert run(["export", "--records", str(path), "--format", "json", "--out", str(out)]) == 0
         round_tripped = [ReproductionRecord(**o) for o in json.loads(out.read_text())]
         assert round_tripped == [rec]
+
+    def test_csv_format(self, tmp_path):
+        rec = ReproductionRecord("sd-line", {"n": 3}, {"sd_cost": "7"}, True, 0.5)
+        path = tmp_path / "recs.json"
+        path.write_text(json.dumps([rec.to_dict()]))
+        out = tmp_path / "out.csv"
+        assert run(["export", "--records", str(path), "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_bytes().decode() == (
+            "experiment,passed,wall_clock_s,params,measured\r\n"
+            'sd-line,true,0.5,"{""n"": 3}","{""sd_cost"": ""7""}"\r\n'
+        )
 
     def test_rationals_stay_fractional(self):
         rec = ReproductionRecord("x", {}, {"v": str(Fraction(1, 3))}, True, 0.0)

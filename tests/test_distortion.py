@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_min_cost, random_doubly_stochastic, random_profile
+from lp_reference import adversary_lp, metric_from_lp_point
 from ordmatch.core import (
     FractionalMatching,
     Instance,
@@ -22,16 +23,13 @@ from ordmatch.distortion import (
     INFINITE,
     adversarial_distortion,
     adversarial_distortion_fractional,
-    adversary_lp,
     expected_distortion_known_metric,
-    lp_solve,
-    metric_from_lp_point,
     min_cost_matching,
     sample_consistent_metric,
 )
 from ordmatch import distortion
-from ordmatch._simplex import EQUAL, LESS, solve_lp
-from ordmatch.distortion import LinearProgram, OracleStats, _BipartiteAdversary, _pair_weights
+from ordmatch._simplex import EQUAL, GREATER, LESS, solve_lp
+from ordmatch.distortion import OracleStats, _BipartiteAdversary
 from ordmatch.generators import (
     euclidean_random,
     line_sd_instance,
@@ -42,44 +40,14 @@ from ordmatch.mechanisms import exact_rsd_marginals, serial_dictatorship
 
 
 class TestLpSolve:
-    def test_box(self):
-        lp = LinearProgram(
-            n_vars=1,
-            objective=(Fraction(1),),
-            rows=(((Fraction(1),), "<=", Fraction(1)),),
-        )
-        sol = lp_solve(lp)
-        assert sol.status == "optimal" and sol.value == 1
-
-    def test_infeasible(self):
-        lp = LinearProgram(
-            n_vars=1,
-            objective=(Fraction(0),),
-            rows=(
-                ((Fraction(1),), "<=", Fraction(1)),
-                ((Fraction(1),), ">=", Fraction(2)),
-            ),
-        )
-        assert lp_solve(lp).status == "infeasible"
-
-    def test_unbounded_reports_ray(self):
-        lp = LinearProgram(
-            n_vars=2,
-            objective=(Fraction(1), Fraction(0)),
-            rows=(((Fraction(0), Fraction(1)), "<=", Fraction(1)),),
-        )
-        sol = lp_solve(lp)
-        assert sol.status == "unbounded"
-        assert sol.ray[0] > 0
-
     def test_n2_adversary_lp_value_and_vertex(self):
         inst = Instance(2, ((0, 1), (0, 1)))
         matching = Matching({0: 0, 1: 1})
         m_star = Matching({0: 1, 1: 0})
-        lp = adversary_lp(inst, matching, m_star)
-        sol = lp_solve(lp)
+        lp = adversary_lp(inst, FractionalMatching.indicator(matching, 2), m_star)
+        sol = solve_lp(*lp, pivot_rule="bland")
         assert sol.status == "optimal" and sol.value == 3
-        witness = metric_from_lp_point(lp, sol.x)  # validates the triangle rows
+        witness = metric_from_lp_point(2, sol.x)  # validates the triangle rows
         assert consistent(inst, witness)
         assert cost(m_star, witness) == 1
         assert cost(matching, witness) == 3
@@ -157,9 +125,10 @@ class TestAdversarialDistortion:
             rep = adversarial_distortion(inst, matching)
             if rep.value == INFINITE:
                 continue
+            p = FractionalMatching.indicator(matching, n)
             best = max(
-                lp_solve(
-                    adversary_lp(inst, matching, Matching.from_permutation(ms))
+                solve_lp(
+                    *adversary_lp(inst, p, Matching.from_permutation(ms)), pivot_rule="bland"
                 ).value
                 for ms in itertools.permutations(range(n))
             )
@@ -174,19 +143,18 @@ class TestAdversarialDistortion:
             rng.shuffle(perm)
             matching = Matching.from_permutation(perm)
             rep = adversarial_distortion(inst, matching)
+            p = FractionalMatching.indicator(matching, n)
             feasible = False
             for ms in itertools.permutations(range(n)):
-                lp = adversary_lp(inst, matching, Matching.from_permutation(ms))
-                rows = list(lp.rows)
-                norm = rows.pop()  # cost(M*) = 1 becomes cost(M*) = 0
-                rows.append((norm[0], "==", Fraction(0)))
-                rows.append((lp.objective, ">=", Fraction(1)))
-                probe = LinearProgram(
-                    n_vars=lp.n_vars,
-                    objective=tuple(Fraction(0) for _ in range(lp.n_vars)),
-                    rows=tuple(rows),
+                objective, rows, senses, rhs = adversary_lp(
+                    inst, p, Matching.from_permutation(ms)
                 )
-                if lp_solve(probe).status != "infeasible":
+                # cost(M*) = 1 becomes cost(M*) = 0, and the target must cost >= 1
+                rows = rows + [objective]
+                senses = senses + [GREATER]
+                rhs = rhs[:-1] + [0, 1]
+                probe = solve_lp([0] * len(objective), rows, senses, rhs, pivot_rule="bland")
+                if probe.status != "infeasible":
                     feasible = True
                     break
             assert feasible == (rep.value == INFINITE)
@@ -288,18 +256,7 @@ class TestAdversarialDistortion:
                     assert mech <= value * opt
         assert checked_infinite > 0  # the stress case actually occurred
 
-    def test_metric_from_lp_point_requires_metadata(self):
-        lp = LinearProgram(
-            n_vars=1,
-            objective=(Fraction(1),),
-            rows=(((Fraction(1),), "<=", Fraction(1)),),
-        )
-        with pytest.raises(InvalidInputError):
-            metric_from_lp_point(lp, (Fraction(1),))
-
     def test_candidate_pruning_preserves_the_max(self):
-        from ordmatch.distortion import _BipartiteAdversary
-
         rng = random.Random(6)
         for _ in range(5):
             n = rng.randint(2, 4)
@@ -310,10 +267,7 @@ class TestAdversarialDistortion:
             rep = adversarial_distortion(inst, matching)
             if rep.value == INFINITE:
                 continue
-            objective = [Fraction(0)] * (n * n)
-            for i, j in matching.assign.items():
-                objective[i * n + j] += 1
-            solver = _BipartiteAdversary(inst, objective)
+            solver = _BipartiteAdversary(inst, FractionalMatching.indicator(matching, n))
             unpruned = max(
                 solver.maximize(ms)[0] for ms in itertools.permutations(range(n))
             )
@@ -329,8 +283,9 @@ class TestAdversarialDistortion:
         rng = random.Random(seed)
         inst = random_profile(n, rng)
         if kind == "matching":
-            target = Matching.from_permutation(rng.sample(range(n), n))
-            rep = adversarial_distortion(inst, target)
+            matching = Matching.from_permutation(rng.sample(range(n), n))
+            rep = adversarial_distortion(inst, matching)
+            target = FractionalMatching.indicator(matching, n)
         else:
             if kind == "rsd":
                 target = exact_rsd_marginals(inst)
@@ -339,7 +294,7 @@ class TestAdversarialDistortion:
             rep = adversarial_distortion_fractional(inst, target)
         if rep.value == INFINITE:
             return
-        solver = _BipartiteAdversary(inst, _pair_weights(target))
+        solver = _BipartiteAdversary(inst, target)
         unpruned = max(
             solver.maximize(ms, prune_below=None)[0]
             for ms in itertools.permutations(range(n))
@@ -353,7 +308,8 @@ class TestAdversarialDistortion:
         """A dual whose certificate is broken (a negated z_i, or a raised
         residual entry) must never prune."""
         inst, _ = line_sd_instance(4)
-        solver = _BipartiteAdversary(inst, _pair_weights(serial_dictatorship(inst, range(4))))
+        sd = serial_dictatorship(inst, range(4))
+        solver = _BipartiteAdversary(inst, FractionalMatching.indicator(sd, 4))
         best = max(solver.maximize(ms)[0] for ms in itertools.permutations(range(4)))
         k = len(solver.detour_rows)
         for ms in itertools.permutations(range(4)):
@@ -408,6 +364,19 @@ class TestAdversarialDistortion:
         with pytest.raises(distortion.WitnessError):
             adversarial_distortion(inst, serial_dictatorship(inst, range(3)))
 
+    def test_infinite_witness_is_rechecked(self, monkeypatch):
+        """An infinite report whose witness does not charge the target is
+        refused like a finite one."""
+        n = 2
+        free = Metric(n, tuple(tuple(Fraction(0) for _ in range(2 * n)) for _ in range(2 * n)))
+        monkeypatch.setattr(
+            distortion,
+            "_infinite_witness",
+            lambda inst, p: (free, Matching.from_permutation(range(n))),
+        )
+        with pytest.raises(distortion.WitnessError):
+            adversarial_distortion(Instance(n, ((0, 1), (1, 0))), Matching({0: 1, 1: 0}))
+
     def test_oracle_dominates_consistent_samples(self):
         rng = random.Random(4)
         for _ in range(3):
@@ -422,6 +391,66 @@ class TestAdversarialDistortion:
                 assert consistent(inst, metric)
                 opt = min_cost_matching(metric)[1]
                 assert cost(matching, metric) <= rep.value * opt
+
+
+def _oracle_target(inst, kind, rng):
+    """A perfect matching or exact RSD marginals, as (target, report)."""
+    n = inst.n
+    if kind == "matching":
+        target = Matching.from_permutation(rng.sample(range(n), n))
+        return target, adversarial_distortion(inst, target)
+    target = exact_rsd_marginals(inst)
+    return target, adversarial_distortion_fractional(inst, target)
+
+
+class TestOracleProperties:
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(["matching", "rsd"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_value_invariant_under_relabeling(self, n, seed, kind):
+        rng = random.Random(seed)
+        inst = random_profile(n, rng)
+        target, rep = _oracle_target(inst, kind, rng)
+        agents, items = rng.sample(range(n), n), rng.sample(range(n), n)
+        prefs = [()] * n
+        for i, p in enumerate(inst.prefs):
+            prefs[agents[i]] = tuple(items[j] for j in p)
+        renamed = Instance(n, tuple(prefs))
+        if kind == "matching":
+            moved = Matching({agents[i]: items[j] for i, j in target.assign.items()})
+            again = adversarial_distortion(renamed, moved)
+        else:
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    rows[agents[i]][items[j]] = target.p[i][j]
+            moved = FractionalMatching(n, tuple(tuple(r) for r in rows))
+            again = adversarial_distortion_fractional(renamed, moved)
+        assert again.value == rep.value
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from(["matching", "rsd"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_report_rechecks(self, n, seed, kind):
+        rng = random.Random(seed)
+        inst = random_profile(n, rng)
+        target, rep = _oracle_target(inst, kind, rng)
+        w = rep.witness_metric
+        w.check_triangle()
+        assert consistent(inst, w)
+        mech = cost(target, w) if kind == "matching" else fractional_cost(target, w)
+        opt = min_cost_matching(w)[1]
+        assert (mech, opt) == (rep.mechanism_cost, rep.opt_cost)
+        if rep.value == INFINITE:
+            assert opt == 0 and mech > 0
+        else:
+            assert opt > 0 and mech / opt == rep.value
 
 
 class TestAdversarialFractional:

@@ -105,6 +105,31 @@ class TestEngine:
         res = solve_lp(obj, rows, senses, rhs, pivot_rule="bland")
         assert res.status == "optimal" and res.value == 5 ** n
 
+    def test_box(self):
+        res = solve_lp([Fraction(1)], [[Fraction(1)]], [LESS], [Fraction(1)], pivot_rule="bland")
+        assert res.status == "optimal" and res.value == 1
+
+    def test_infeasible(self):
+        res = solve_lp(
+            [Fraction(0)],
+            [[Fraction(1)], [Fraction(1)]],
+            [LESS, GREATER],
+            [Fraction(1), Fraction(2)],
+            pivot_rule="bland",
+        )
+        assert res.status == "infeasible"
+
+    def test_unbounded_reports_ray(self):
+        res = solve_lp(
+            [Fraction(1), Fraction(0)],
+            [[Fraction(0), Fraction(1)]],
+            [LESS],
+            [Fraction(1)],
+            pivot_rule="bland",
+        )
+        assert res.status == "unbounded"
+        assert res.ray[0] > 0
+
     def test_minimization(self):
         res = solve_lp(
             [Fraction(1)],
